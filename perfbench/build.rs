@@ -1,0 +1,18 @@
+//! Stamps the binary with the compiler version and build profile, so
+//! every result names the toolchain that produced it.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={version}");
+    println!("cargo:rustc-env=PERFBENCH_PROFILE={}", std::env::var("PROFILE").unwrap_or_default());
+    println!("cargo:rerun-if-changed=build.rs");
+}
