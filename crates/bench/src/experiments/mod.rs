@@ -16,6 +16,7 @@ use crate::table::Table;
 use nectar_core::shard::ShardedWorld;
 use nectar_core::world::World;
 use nectar_sim::metrics::MetricsRegistry;
+use std::collections::BTreeMap;
 
 /// What the harness wants an experiment to collect beyond its table.
 /// Passed to every runner; [`ExpCtx::off`] is the plain-report default.
@@ -198,6 +199,69 @@ impl ExpCtx {
     }
 }
 
+/// The one metrics key that may differ across shard counts: events
+/// lost to telemetry ring overflow depend on how many per-shard rings
+/// exist, not on the simulation.
+const CAPTURE_KEY: &str = "telemetry.dropped_events";
+
+/// The first key, in name order, whose value in `a` differs from `b`'s
+/// or that `b` lacks — else the first key only `b` has — skipping
+/// [`CAPTURE_KEY`].
+fn first_difference<'a, V: PartialEq>(
+    a: impl Iterator<Item = (&'a str, V)>,
+    b: impl Iterator<Item = (&'a str, V)>,
+) -> Option<&'a str> {
+    let mut b: BTreeMap<&str, V> = b.collect();
+    for (key, v) in a {
+        if b.remove(key) != Some(v) && key != CAPTURE_KEY {
+            return Some(key);
+        }
+    }
+    b.into_keys().find(|&key| key != CAPTURE_KEY)
+}
+
+/// Compares a sharded run with its 1-shard reference — event counts,
+/// then the two metrics registries key by key — and notes the verdict
+/// on `table`. A divergence notes `DETERMINISM VIOLATED` naming the
+/// first differing key and returns `false`. A [`CAPTURE_KEY`]
+/// difference is not a violation; it gets its own capture note with
+/// both counts.
+pub fn note_determinism(
+    table: &mut Table,
+    shards: usize,
+    (events, run): (u64, &MetricsRegistry),
+    (ref_events, reference): (u64, &MetricsRegistry),
+) -> bool {
+    if events != ref_events {
+        table.note(format!(
+            "DETERMINISM VIOLATED: {events} events at {shards} shards vs {ref_events} at 1"
+        ));
+        return false;
+    }
+    let diff = first_difference(run.counters(), reference.counters())
+        .or_else(|| first_difference(run.gauges(), reference.gauges()))
+        .or_else(|| first_difference(run.histograms(), reference.histograms()));
+    if let Some(key) = diff {
+        table.note(format!(
+            "DETERMINISM VIOLATED: metrics differ between 1 and {shards} shards, first at `{key}`"
+        ));
+        return false;
+    }
+    let (dropped, ref_dropped) = (run.counter(CAPTURE_KEY), reference.counter(CAPTURE_KEY));
+    if dropped == ref_dropped {
+        table.note(format!("determinism: metrics bit-identical across 1 and {shards} shards"));
+    } else {
+        table.note(format!(
+            "determinism: simulated metrics bit-identical across 1 and {shards} shards"
+        ));
+        table.note(format!(
+            "capture: {CAPTURE_KEY} {ref_dropped} at 1 shard vs {dropped} at {shards} \
+             (ring overflow depends on the per-shard ring count)"
+        ));
+    }
+    true
+}
+
 /// One registry entry: `(id, description, runner)`.
 pub type Experiment = (&'static str, &'static str, fn(&ExpCtx) -> Table);
 
@@ -256,6 +320,63 @@ pub fn registry() -> Vec<Experiment> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn sample(dropped: u64, forwarded: u64) -> MetricsRegistry {
+        let mut reg = MetricsRegistry::new();
+        reg.counter_add("hub0.packets_forwarded", forwarded);
+        reg.counter_add(CAPTURE_KEY, dropped);
+        reg.counter_add("workload.flows", 7);
+        reg.gauge_max("cab0.fiber_util", 0.5);
+        reg.observe("latency.flight_ns", 1200);
+        reg
+    }
+
+    #[test]
+    fn determinism_check_tolerates_only_capture_losses() {
+        let reference = sample(75_930, 100);
+        let mut table = Table::new("t", "t", &[]);
+        assert!(note_determinism(&mut table, 2, (9, &sample(75_930, 100)), (9, &reference)));
+        assert_eq!(table.notes, ["determinism: metrics bit-identical across 1 and 2 shards"]);
+
+        // Only the ring-overflow counter differs: a pass, plus a
+        // capture note giving both counts.
+        let mut table = Table::new("t", "t", &[]);
+        assert!(note_determinism(&mut table, 2, (9, &sample(10_394, 100)), (9, &reference)));
+        assert!(!table.notes.iter().any(|n| n.contains("VIOLATED")), "{:?}", table.notes);
+        assert!(table.notes.iter().any(|n| n.starts_with("capture: ")
+            && n.contains("75930 at 1 shard")
+            && n.contains("10394 at 2")));
+
+        // A simulated counter differing still trips the check, named.
+        let mut table = Table::new("t", "t", &[]);
+        assert!(!note_determinism(&mut table, 2, (9, &sample(10_394, 101)), (9, &reference)));
+        assert_eq!(table.notes.len(), 1);
+        assert!(table.notes[0].starts_with("DETERMINISM VIOLATED"), "{:?}", table.notes);
+        assert!(table.notes[0].contains("`hub0.packets_forwarded`"), "{:?}", table.notes);
+
+        // So does a key present on one side only, a gauge, a histogram,
+        // and the event count.
+        let mut extra = sample(75_930, 100);
+        extra.counter_add("cab9.retransmits", 0);
+        let mut gauge = sample(75_930, 100);
+        gauge.gauge_max("cab0.fiber_util", 0.6);
+        let mut hist = sample(75_930, 100);
+        hist.observe("latency.flight_ns", 900);
+        for (reg, key) in [
+            (&extra, "cab9.retransmits"),
+            (&gauge, "cab0.fiber_util"),
+            (&hist, "latency.flight_ns"),
+        ] {
+            let mut table = Table::new("t", "t", &[]);
+            assert!(!note_determinism(&mut table, 3, (9, reg), (9, &reference)));
+            assert!(table.notes[0].contains(&format!("`{key}`")), "{:?}", table.notes);
+            let mut table = Table::new("t", "t", &[]);
+            assert!(!note_determinism(&mut table, 3, (9, &reference), (9, reg)), "{key} mirrored");
+        }
+        let mut table = Table::new("t", "t", &[]);
+        assert!(!note_determinism(&mut table, 3, (8, &reference), (9, &reference)));
+        assert!(table.notes[0].contains("8 events at 3 shards vs 9 at 1"));
+    }
 
     #[test]
     fn registry_ids_are_unique() {

@@ -16,11 +16,12 @@
 //! in the table notes — CI greps for exactly that string, so a window
 //! protocol bug can never hide behind a good-looking speedup number.
 
-use crate::experiments::ExpCtx;
+use crate::experiments::{note_determinism, ExpCtx};
 use crate::table::Table;
 use nectar_core::prelude::*;
 use nectar_core::world::AppSend;
 use nectar_sim::chaos::{ChaosSchedule, Clause, Fault};
+use nectar_sim::metrics::MetricsRegistry;
 use nectar_sim::time::Time;
 use std::sync::Arc;
 use std::time::Instant;
@@ -85,10 +86,10 @@ struct TimedRun {
     events: u64,
     /// Wall-clock seconds.
     wall_s: f64,
-    /// Metrics JSON — the determinism fingerprint.
-    fingerprint: String,
+    /// The simulated metrics, compared against the 1-shard reference.
+    metrics: MetricsRegistry,
     /// Runner counters (windows, barrier wait, exchanged events).
-    runtime: nectar_sim::metrics::MetricsRegistry,
+    runtime: MetricsRegistry,
     /// Scaling-doctor analysis, when the ctx asked for `--profile`.
     profile: Option<nectar_sim::profile::ProfileAnalysis>,
 }
@@ -120,7 +121,7 @@ fn timed_run(
     }
     let (events, _) = world.run_to_quiescence(Time::from_millis(100));
     let wall_s = t0.elapsed().as_secs_f64();
-    let fingerprint = world.metrics().to_json();
+    let metrics = world.metrics();
     assert!(
         chaos.is_some() || world.transport_quiescent(),
         "{}: scale workload failed to drain — deadline too tight",
@@ -134,7 +135,7 @@ fn timed_run(
         // doctor's verdict is redundant — just detach it.
         world.finish_streaming();
     }
-    TimedRun { events, wall_s, fingerprint, runtime: world.runtime_metrics(), profile }
+    TimedRun { events, wall_s, metrics, runtime: world.runtime_metrics(), profile }
 }
 
 /// Shared runner: main run at `ctx.shards`, plus (when parallel) the
@@ -149,8 +150,7 @@ fn run_scale(id: &'static str, title: &str, topo: Topology, ctx: &ExpCtx) -> Tab
     let config = format!("{hubs} HUBs / {cabs} CABs / {} sends", sends.len());
 
     let run = timed_run(&topo, &sends, shards, None, ctx, &mut table, true);
-    let (events, wall, fingerprint, runtime) =
-        (run.events, run.wall_s, run.fingerprint, run.runtime);
+    let (events, wall) = (run.events, run.wall_s);
     table.record_events(events);
     let eps = events as f64 / wall.max(1e-9);
     table.row(&[
@@ -163,9 +163,9 @@ fn run_scale(id: &'static str, title: &str, topo: Topology, ctx: &ExpCtx) -> Tab
 
     if shards > 1 {
         let (windows, wait_ns, exchanged) = (
-            runtime.counter("runner.windows"),
-            runtime.counter("runner.barrier_wait_ns"),
-            runtime.counter("runner.exchanged_events"),
+            run.runtime.counter("runner.windows"),
+            run.runtime.counter("runner.barrier_wait_ns"),
+            run.runtime.counter("runner.exchanged_events"),
         );
         table.note(format!(
             "runner: {windows} windows, {:.1} ms total barrier wait, \
@@ -173,8 +173,7 @@ fn run_scale(id: &'static str, title: &str, topo: Topology, ctx: &ExpCtx) -> Tab
             wait_ns as f64 / 1e6
         ));
         let reference = timed_run(&topo, &sends, 1, None, ctx, &mut table, false);
-        let (ref_events, ref_wall, ref_fingerprint) =
-            (reference.events, reference.wall_s, reference.fingerprint);
+        let (ref_events, ref_wall) = (reference.events, reference.wall_s);
         table.record_events(ref_events);
         let ref_eps = ref_events as f64 / ref_wall.max(1e-9);
         table.row(&[
@@ -190,17 +189,12 @@ fn run_scale(id: &'static str, title: &str, topo: Topology, ctx: &ExpCtx) -> Tab
             eps / ref_eps,
             if cores < shards { "; shards oversubscribed, no speedup possible" } else { "" }
         ));
-        if ref_events != events {
-            table.note(format!(
-                "DETERMINISM VIOLATED: {events} events at {shards} shards vs {ref_events} at 1"
-            ));
-        } else if fingerprint != ref_fingerprint {
-            table.note(format!(
-                "DETERMINISM VIOLATED: metrics registries differ between 1 and {shards} shards"
-            ));
-        } else {
-            table.note(format!("determinism: metrics bit-identical across 1 and {shards} shards"));
-        }
+        note_determinism(
+            &mut table,
+            shards,
+            (events, &run.metrics),
+            (ref_events, &reference.metrics),
+        );
     }
     let lookahead = SystemConfig::default().hub.lookahead();
     table.note(format!(
@@ -286,16 +280,21 @@ pub fn scaling_sweep(shard_counts: &[usize], profile: bool) -> Vec<ScalingPoint>
         let sends = scaled_workload(&topo);
         for use_chaos in [false, true] {
             let schedule = use_chaos.then_some(&chaos);
-            let mut reference: Option<String> = None;
+            let mut reference: Option<(u64, MetricsRegistry)> = None;
             for &shards in &counts {
                 let mut scratch = Table::new(id, "scaling sweep", &[]);
                 let run = timed_run(&topo, &sends, shards, schedule, &ctx, &mut scratch, false);
                 let deterministic = match &reference {
                     None => {
-                        reference = Some(run.fingerprint);
+                        reference = Some((run.events, run.metrics));
                         true
                     }
-                    Some(r) => *r == run.fingerprint,
+                    Some((ref_events, r)) => note_determinism(
+                        &mut scratch,
+                        shards,
+                        (run.events, &run.metrics),
+                        (*ref_events, r),
+                    ),
                 };
                 points.push(ScalingPoint {
                     experiment: id,

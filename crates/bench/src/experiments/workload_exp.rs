@@ -17,9 +17,10 @@
 //! saturation, silent drops). The verdict lands in the table notes and
 //! in `BENCH_sim.json`, so CI can gate on it.
 
-use crate::experiments::ExpCtx;
+use crate::experiments::{note_determinism, ExpCtx};
 use crate::table::Table;
 use nectar_core::prelude::*;
+use nectar_sim::metrics::MetricsRegistry;
 use nectar_sim::time::Time;
 use nectar_sim::workload::{preset, Shape, WorkloadSpec};
 use std::time::Instant;
@@ -66,20 +67,20 @@ fn timed_run(
     ctx: &ExpCtx,
     table: &mut Table,
     absorb: bool,
-) -> (u64, f64, String) {
+) -> (u64, f64, MetricsRegistry) {
     let t0 = Instant::now();
     let mut world = ShardedWorld::new(topo.clone(), SystemConfig::default(), shards);
     ctx.prepare_sharded(&mut world);
     world.set_workload(spec).unwrap_or_else(|e| panic!("{}: workload rejected: {e}", table.id));
     let (events, _) = world.run_to_quiescence(DEADLINE);
     let wall_s = t0.elapsed().as_secs_f64();
-    let fingerprint = world.metrics().to_json();
+    let metrics = world.metrics();
     if absorb {
         ctx.absorb_sharded(table, &mut world);
     } else if ctx.stream {
         world.finish_streaming();
     }
-    (events, wall_s, fingerprint)
+    (events, wall_s, metrics)
 }
 
 /// Sums a per-CAB counter family from the table's harvested metrics.
@@ -149,7 +150,7 @@ fn run_workload(
         None => format!("preset {default_preset}"),
     };
 
-    let (events, wall, fingerprint) = timed_run(&topo, &spec, shards, ctx, &mut table, true);
+    let (events, wall, metrics) = timed_run(&topo, &spec, shards, ctx, &mut table, true);
     table.record_events(events);
     let flows = summed(&table, topo.cab_count(), "workload.flows");
     let eps = events as f64 / wall.max(1e-9);
@@ -170,7 +171,7 @@ fn run_workload(
     ));
 
     if shards > 1 {
-        let (ref_events, ref_wall, ref_fingerprint) =
+        let (ref_events, ref_wall, ref_metrics) =
             timed_run(&topo, &spec, 1, ctx, &mut table, false);
         table.record_events(ref_events);
         let ref_eps = ref_events as f64 / ref_wall.max(1e-9);
@@ -182,17 +183,7 @@ fn run_workload(
             format!("{:.1} ms", ref_wall * 1e3),
             format!("{ref_eps:.0}"),
         ]);
-        if ref_events != events {
-            table.note(format!(
-                "DETERMINISM VIOLATED: {events} events at {shards} shards vs {ref_events} at 1"
-            ));
-        } else if fingerprint != ref_fingerprint {
-            table.note(format!(
-                "DETERMINISM VIOLATED: metrics registries differ between 1 and {shards} shards"
-            ));
-        } else {
-            table.note(format!("determinism: metrics bit-identical across 1 and {shards} shards"));
-        }
+        note_determinism(&mut table, shards, (events, &metrics), (ref_events, &ref_metrics));
     }
     verdict_note(&mut table, &topo);
     table

@@ -352,10 +352,9 @@ struct CabState {
 /// immediately, so they never accumulate memory.
 const WORKLOAD_MAILBOX_BASE: u16 = 0x7000;
 
-/// Per-CAB workload accounting. Lives in the world (not `CabState`)
-/// and never migrates: each counter is only ever incremented by the
-/// CAB's owning shard, so summing across shard registries — the same
-/// merge every `cab{c}.*` counter uses — yields the global value.
+/// Per-CAB workload accounting. Each counter is only ever incremented
+/// by the CAB's owning shard, so summing across shard registries — the
+/// same merge every `cab{c}.*` counter uses — yields the global value.
 #[derive(Clone, Copy, Debug, Default)]
 struct WorkloadCounters {
     /// Flows launched (open-loop arrivals + closed-loop launches).
@@ -1455,19 +1454,11 @@ impl World {
         }
     }
 
-    /// Replaces the shard plan (a rebalance adopted at a window
-    /// barrier). A no-op for unsharded worlds.
-    pub(crate) fn set_shard_plan(&mut self, plan: std::sync::Arc<ShardPlan>) {
-        if let Some(ctx) = &mut self.shard {
-            ctx.plan = plan;
-        }
-    }
-
     /// Deterministic load attribution for HUB `hub`'s cluster: the
     /// simulated busy time of the attached CABs' kernels plus one HUB
     /// cycle per item the HUB handled. Simulated-time quantities only —
-    /// every shard (and every rerun) computes the same weights, so an
-    /// adaptive repartition is itself deterministic. Non-owned
+    /// every shard (and every rerun) computes the same weights, so the
+    /// profiler names the same hot cluster on every rerun. Non-owned
     /// components are pristine and contribute zero, so summing a
     /// cluster's weight across shards yields its global weight.
     pub(crate) fn cluster_weight(&self, hub: usize) -> u64 {
@@ -1481,76 +1472,6 @@ impl World {
             }
         }
         w
-    }
-
-    /// Moves HUB `hub`'s cluster — the HUB, its attached CABs, their
-    /// pending events, tie-break key counters, protocol timer tables,
-    /// and chaos RNG streams — from `src` to `dst`.
-    ///
-    /// Only sound **at a window-barrier epoch**, where three facts
-    /// hold: no event batch is in flight (the timer table is exactly
-    /// 1:1 with pending `CabTimer` engine events), every outbox has
-    /// been exchanged (no cluster traffic is parked outside an
-    /// engine), and every pending event's timestamp is at or beyond
-    /// the last window's end — which is strictly after both worlds'
-    /// clocks, so re-insertion into `dst`'s engine can never schedule
-    /// into its past. Timestamps and keys are preserved verbatim, so
-    /// the merged `(time, key)` event order — and therefore every
-    /// observable — is bit-identical to a run that never migrated.
-    pub(crate) fn migrate_cluster(src: &mut World, dst: &mut World, hub: usize) {
-        let mine: Vec<bool> =
-            (0..src.topo.cab_count()).map(|c| src.topo.cab_attachment(c).0 == hub).collect();
-        let moved = src.engine.extract_if(|ev| match ev {
-            Ev::HubItem { hub: h, .. }
-            | Ev::HubReady { hub: h, .. }
-            | Ev::HubInternal { hub: h, .. } => *h == hub,
-            Ev::CabItem { cab, .. }
-            | Ev::CabItemReplay { cab, .. }
-            | Ev::CabReadySignal { cab }
-            | Ev::CabPacketReady { cab, .. }
-            | Ev::CabTimer { cab, .. }
-            | Ev::CabReadyTimeout { cab, .. }
-            | Ev::AppSend { cab, .. }
-            | Ev::WorkloadTick { cab, .. }
-            | Ev::WorkloadLaunch { cab, .. }
-            | Ev::WorkloadReply { cab, .. } => mine[*cab],
-        });
-        std::mem::swap(&mut src.hubs[hub], &mut dst.hubs[hub]);
-        let hub_key_src = src.cabs.len() + hub;
-        std::mem::swap(&mut src.keys[hub_key_src], &mut dst.keys[hub_key_src]);
-        let mut cab16: Vec<u16> = Vec::new();
-        for (c, owned) in mine.iter().enumerate() {
-            if *owned {
-                std::mem::swap(&mut src.cabs[c], &mut dst.cabs[c]);
-                std::mem::swap(&mut src.keys[c], &mut dst.keys[c]);
-                // The live timer table travelled with the CAB but its
-                // EventIds point into `src`'s engine; rebuild it from
-                // the re-inserted events below (exactly 1:1 at an
-                // epoch boundary).
-                let stale = dst.cabs[c].timers.len();
-                dst.cabs[c].timers.clear();
-                dst.cabs[c].timers.reserve(stale);
-                cab16.push(c as u16);
-            }
-        }
-        for (at, key, ev) in moved {
-            if let Ev::CabTimer { cab, source, token } = &ev {
-                let (cab, source, tok) = (*cab, *source, token.0);
-                let id = dst.engine.schedule_at_keyed(at, key, ev);
-                dst.cabs[cab].timers.insert((source, tok), id);
-            } else {
-                dst.engine.schedule_at_keyed(at, key, ev);
-            }
-        }
-        if let (Some(a), Some(b)) = (src.chaos.as_mut(), dst.chaos.as_mut()) {
-            b.absorb_component_state(a.extract_component_state(&cab16, &[hub as u8]));
-        }
-        // Workload RNG streams follow their CABs the same way chaos
-        // clause streams do; never-started streams move implicitly
-        // (seeds derive from spec seed + class + CAB).
-        if let (Some(a), Some(b)) = (src.workload.as_mut(), dst.workload.as_mut()) {
-            b.generator.absorb_component_state(a.generator.extract_component_state(&cab16));
-        }
     }
 
     /// Advances the clock to `t` if it lags (window-barrier clock

@@ -43,11 +43,11 @@ pub fn host_now_ns() -> u64 {
 }
 
 /// Number of [`Phase`] variants (array-index bound for breakdowns).
-pub const PHASES: usize = 7;
+pub const PHASES: usize = 6;
 
 /// A phase of the sharded runner's loop, the unit of host-time
 /// attribution. The first four happen on every shard worker each
-/// window; the last three happen on the runner's main thread at epoch
+/// window; the last two happen on the runner's main thread at epoch
 /// boundaries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
@@ -65,8 +65,6 @@ pub enum Phase {
     TelemetryDrain,
     /// Folding drained telemetry into the streaming doctor.
     StreamFold,
-    /// Epoch-boundary rebalance decision and cluster migration.
-    Rebalance,
 }
 
 impl Phase {
@@ -78,7 +76,6 @@ impl Phase {
         Phase::BarrierWait,
         Phase::TelemetryDrain,
         Phase::StreamFold,
-        Phase::Rebalance,
     ];
 
     /// Dense index into `[u64; PHASES]` breakdown arrays.
@@ -90,7 +87,6 @@ impl Phase {
             Phase::BarrierWait => 3,
             Phase::TelemetryDrain => 4,
             Phase::StreamFold => 5,
-            Phase::Rebalance => 6,
         }
     }
 
@@ -103,7 +99,6 @@ impl Phase {
             Phase::BarrierWait => "barrier_wait",
             Phase::TelemetryDrain => "telemetry_drain",
             Phase::StreamFold => "stream_fold",
-            Phase::Rebalance => "rebalance",
         }
     }
 }
@@ -244,7 +239,7 @@ impl Profiler {
 
 /// The collected profile of one sharded run: one track per shard
 /// worker plus one final track for the runner's main thread
-/// (telemetry drain, streaming fold, rebalance migration).
+/// (telemetry drain, streaming fold).
 #[derive(Clone, Debug)]
 pub struct HostProfile {
     /// Worker track count (== shard count).
@@ -380,8 +375,8 @@ pub struct ProfileAnalysis {
     pub spans_dropped: u64,
     /// Per-shard phase breakdown and critical-path attribution.
     pub per_shard: Vec<ShardBreakdown>,
-    /// Main-thread phase totals (telemetry drain, stream fold,
-    /// rebalance), indexed by [`Phase::index`].
+    /// Main-thread phase totals (telemetry drain, stream fold),
+    /// indexed by [`Phase::index`].
     pub main_ns: [u64; PHASES],
     /// Parallel efficiency: summed step time over `shards × wall`.
     pub efficiency: f64,
@@ -433,13 +428,11 @@ impl ProfileAnalysis {
         }
         let drain = self.main_ns[Phase::TelemetryDrain.index()];
         let fold = self.main_ns[Phase::StreamFold.index()];
-        let reb = self.main_ns[Phase::Rebalance.index()];
-        if drain + fold + reb > 0 {
+        if drain + fold > 0 {
             out.push_str(&format!(
-                "main       drain {:.3} ms, fold {:.3} ms, rebalance {:.3} ms\n",
+                "main       drain {:.3} ms, fold {:.3} ms\n",
                 ms(drain),
-                ms(fold),
-                ms(reb)
+                ms(fold)
             ));
         }
         out.push_str(&format!(
@@ -501,7 +494,7 @@ impl ProfileAnalysis {
             ));
         }
         out.push_str("], \"main\": {");
-        let mains = [Phase::TelemetryDrain, Phase::StreamFold, Phase::Rebalance];
+        let mains = [Phase::TelemetryDrain, Phase::StreamFold];
         for (i, ph) in mains.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
