@@ -59,6 +59,7 @@
 use nectar_bench::experiments::{ExpCtx, Experiment, TRACEABLE};
 use nectar_bench::registry;
 use nectar_bench::table::Table;
+use nectar_sim::json::json_escape;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -508,21 +509,6 @@ fn run_experiments(
         .into_iter()
         .map(|o| o.expect("every slot filled by a worker"))
         .collect()
-}
-
-/// Escapes a string for a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// CPUs online on the host (as opposed to CPUs this process may use).

@@ -7,11 +7,12 @@ use nectar_core::system::NectarSystem;
 use nectar_core::topology::Topology;
 use nectar_core::world::{SystemConfig, World};
 use nectar_sim::analysis::critical_path::breakdown;
-use nectar_sim::analysis::flights::FlightTable;
+use nectar_sim::analysis::flights::{Flight, StreamKey};
 use nectar_sim::analysis::{diagnose, pathology::DoctorConfig};
 use nectar_sim::telemetry::EventKind;
 use nectar_sim::time::Time;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, HashMap};
 
 /// Forced loss on the bytestream transport produces a go-back-N
 /// retransmit storm; the detector fires, names the stream, and lists
@@ -85,11 +86,21 @@ fn clean_run_has_no_findings() {
 /// equals the flight's end-to-end latency *exactly*, measured
 /// independently from the raw events.
 fn assert_segments_reconcile(world: &mut World) -> usize {
-    let events = world.telemetry_events();
-    let table = FlightTable::from_events(&events);
+    // Group the time-sorted capture by flight, and find each stream
+    // slot's first transmission, straight from the raw events.
+    let mut flights: BTreeMap<u64, Flight> = BTreeMap::new();
+    let mut first_send: HashMap<StreamKey, Time> = HashMap::new();
+    for ev in world.telemetry_events().into_iter().filter(|e| e.flight.is_some()) {
+        if let EventKind::TransportSend { cab, peer, seq, .. } = ev.kind {
+            let first = first_send.entry((cab, peer, seq)).or_insert(ev.at);
+            *first = (*first).min(ev.at);
+        }
+        let id = ev.flight.0;
+        flights.entry(id).or_insert_with(|| Flight { id, events: Vec::new() }).events.push(ev);
+    }
     let mut checked = 0;
-    for flight in table.flights() {
-        let first = flight.stream_key().and_then(|k| table.first_send_of(k));
+    for flight in flights.values() {
+        let first = flight.stream_key().and_then(|k| first_send.get(&k).copied());
         let Some(b) = breakdown(flight, first) else { continue };
         // Independent end-to-end: slot's first transmission to delivery.
         let recv_at = flight.recv().expect("attributed flights were delivered").at;

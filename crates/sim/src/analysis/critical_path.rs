@@ -2,14 +2,16 @@
 //!
 //! For every delivered unicast flight, the breakdown walks the flight's
 //! time-sorted events and classifies each inter-event gap by the kind of
-//! the **later** event. Because the gaps telescope from `transport_send`
-//! to `app_recv`, the per-segment durations sum *exactly* to the
-//! flight's end-to-end latency — an invariant the property tests pin.
-//! Time a message lost to go-back-N resends (the gap between the stream
-//! slot's first transmission and the delivered copy's send) is charged
-//! to [`Segment::Retransmit`].
+//! the **later** event; when several events share the later instant,
+//! the one first along the datapath (fiber, HUB forward, next hop's
+//! enqueue, DMA, delivery) names the segment. Because the gaps
+//! telescope from `transport_send` to `app_recv`, the per-segment
+//! durations sum *exactly* to the flight's end-to-end latency — an
+//! invariant the property tests pin. Time a message lost to go-back-N
+//! resends (the gap between the stream slot's first transmission and
+//! the delivered copy's send) is charged to [`Segment::Retransmit`].
 
-use super::flights::{Flight, FlightTable};
+use super::flights::Flight;
 use crate::metrics::Histogram;
 use crate::telemetry::EventKind;
 use crate::time::{Dur, Time};
@@ -122,9 +124,11 @@ impl Breakdown {
 /// delivered unicast data flight with a recorded send (multicast,
 /// control, undelivered, and malformed flights are skipped).
 ///
-/// `first_send` is the stream slot's first transmission time from
-/// [`FlightTable::first_send_of`]; pass `None` for transports without
-/// retransmission (the flight's own send is used).
+/// `first_send` is the stream slot's first transmission time, across
+/// the original send and every retransmission; pass `None` for
+/// transports without retransmission (the flight's own send is used).
+/// The flight's events must be in time order; same-instant events may
+/// come in any order.
 pub fn breakdown(flight: &Flight, first_send: Option<Time>) -> Option<Breakdown> {
     if flight.malformed() || flight.recv_count() != 1 || !flight.is_data() {
         return None;
@@ -136,14 +140,36 @@ pub fn breakdown(flight: &Flight, first_send: Option<Time>) -> Option<Breakdown>
     let mut segs = [Dur::ZERO; Segment::ALL.len()];
     segs[Segment::Retransmit.index()] = send_at - origin;
     let mut prev = send_at;
-    for ev in &flight.events[start + 1..] {
-        segs[Segment::for_gap_ending_in(&ev.kind).index()] += ev.at.saturating_since(prev);
-        prev = prev.max(ev.at);
-        if matches!(ev.kind, EventKind::AppRecv { .. }) {
+    // Stamps coincide on every hop (a forward and the next hop's
+    // enqueue share an instant), and neither record nor canonical order
+    // puts such ties causally. Within one instant, the gap belongs to
+    // the event that comes first along the datapath.
+    for group in flight.events[start + 1..].chunk_by(|a, b| a.at == b.at) {
+        let at = group[0].at;
+        let lead =
+            group.iter().min_by_key(|e| datapath_rank(&e.kind)).expect("chunks are non-empty");
+        segs[Segment::for_gap_ending_in(&lead.kind).index()] += at.saturating_since(prev);
+        prev = prev.max(at);
+        if group.iter().any(|e| matches!(e.kind, EventKind::AppRecv { .. })) {
             break;
         }
     }
     Some(Breakdown { flight: flight.id, total: prev - origin, segs })
+}
+
+/// Causal position of a same-instant event on a packet's datapath:
+/// the sender's fiber, then each HUB (a forward before the next hop's
+/// enqueue), then the receiver's DMA, with delivery last.
+fn datapath_rank(kind: &EventKind) -> u8 {
+    match kind {
+        EventKind::FiberTx { .. } => 0,
+        EventKind::CrossbarForward { .. } => 1,
+        EventKind::CrossbarEnqueue { .. } => 2,
+        EventKind::DmaStart { .. } => 3,
+        EventKind::DmaComplete { .. } => 4,
+        EventKind::AppRecv { .. } => 6,
+        _ => 5,
+    }
 }
 
 /// Per-segment latency distributions over every attributable flight in
@@ -159,19 +185,6 @@ pub struct CriticalPath {
 }
 
 impl CriticalPath {
-    /// Builds the aggregate from every flight in a table.
-    pub fn from_table(table: &FlightTable) -> CriticalPath {
-        let mut cp = CriticalPath::default();
-        for f in table.flights() {
-            let first = f.stream_key().and_then(|k| table.first_send_of(k));
-            match breakdown(f, first) {
-                Some(b) => cp.add(&b),
-                None => cp.skipped += 1,
-            }
-        }
-        cp
-    }
-
     /// Folds one flight's breakdown into the per-segment histograms.
     pub fn add(&mut self, b: &Breakdown) {
         if self.hists.is_empty() {
@@ -292,6 +305,73 @@ mod tests {
         assert_eq!(b.segment(Segment::Retransmit), Dur::ZERO);
         assert_eq!(b.total, Dur::from_nanos(8_000));
         assert_eq!(b.segment_sum(), b.total);
+    }
+
+    /// A three-hop flight of the sharded fat-star (e26), in record
+    /// order. Adjacent stamps coincide: `fiber_tx` with the first
+    /// enqueue, and each forward with the next hop's enqueue or the
+    /// receive DMA start.
+    fn three_hop_flight() -> Flight {
+        Flight {
+            id: 7,
+            events: vec![
+                ev(
+                    10_000,
+                    EventKind::TransportSend {
+                        cab: 0,
+                        peer: 32,
+                        seq: 0,
+                        bytes: 512,
+                        retransmit: false,
+                    },
+                ),
+                ev(61_620, EventKind::CrossbarEnqueue { hub: 1, input: 0, bytes: 546 }),
+                ev(61_620, EventKind::FiberTx { cab: 0, bytes: 546 }),
+                ev(63_350, EventKind::CrossbarEnqueue { hub: 0, input: 0, bytes: 546 }),
+                ev(63_350, EventKind::CrossbarForward { hub: 1, input: 0, output: 15, bytes: 546 }),
+                ev(63_700, EventKind::CrossbarEnqueue { hub: 5, input: 15, bytes: 546 }),
+                ev(63_700, EventKind::CrossbarForward { hub: 0, input: 0, output: 4, bytes: 546 }),
+                ev(64_050, EventKind::DmaStart { cab: 32, channel: 0, bytes: 544 }),
+                ev(64_050, EventKind::CrossbarForward { hub: 5, input: 15, output: 0, bytes: 546 }),
+                ev(107_730, EventKind::DmaComplete { cab: 32, channel: 0, bytes: 544 }),
+                ev(108_730, EventKind::AppRecv { cab: 32, mailbox: 41, bytes: 512 }),
+            ],
+        }
+    }
+
+    #[test]
+    fn same_instant_stamps_follow_the_datapath() {
+        let record = three_hop_flight();
+        let b = breakdown(&record, None).unwrap();
+        assert_eq!(b.segment(Segment::TransportQueue), Dur::from_nanos(51_620));
+        assert_eq!(b.segment(Segment::Fiber), Dur::ZERO);
+        assert_eq!(b.segment(Segment::HubQueue), Dur::from_nanos(1_730 + 350 + 350));
+        assert_eq!(b.segment(Segment::Dma), Dur::from_nanos(43_680));
+        assert_eq!(b.segment(Segment::Delivery), Dur::from_nanos(1_000));
+        assert_eq!(b.total, Dur::from_nanos(98_730));
+        assert_eq!(b.segment_sum(), b.total);
+
+        let mut canonical = record.clone();
+        canonical.events.sort_by_key(|e| e.canonical_key());
+        assert_ne!(canonical.events, record.events, "the two orders differ on ties");
+        let c = breakdown(&canonical, None).unwrap();
+        for s in Segment::ALL {
+            assert_eq!(c.segment(s), b.segment(s), "{}", s.label());
+        }
+        assert_eq!(c.total, b.total);
+    }
+
+    #[test]
+    fn diagnose_ignores_capture_order() {
+        let events = three_hop_flight().events;
+        let reference = crate::analysis::diagnose(&events, None).render();
+        let reversed: Vec<_> = events.iter().rev().copied().collect();
+        let (even, odd): (Vec<_>, Vec<_>) =
+            events.iter().enumerate().partition(|(i, _)| i % 2 == 0);
+        let interleaved: Vec<_> = even.into_iter().chain(odd).map(|(_, e)| *e).collect();
+        for shuffled in [reversed, interleaved] {
+            assert_eq!(crate::analysis::diagnose(&shuffled, None).render(), reference);
+        }
     }
 
     #[test]

@@ -2,15 +2,12 @@
 //! per-packet causal histories.
 //!
 //! The flight recorder emits one flat, time-ordered stream of
-//! [`TelemetryEvent`]s. Every analysis in this family starts by folding
-//! that stream into a [`FlightTable`]: one [`Flight`] per packet id,
-//! holding the packet's events in time order, plus a side index of the
-//! *first* transmission time of every `(cab, peer, seq)` stream slot so
-//! retransmission overhead can be attributed to the delivered copy.
+//! [`TelemetryEvent`]s. The streaming doctor groups that stream into
+//! one [`Flight`] per packet id, holding the packet's events in time
+//! order, and keys retransmission bookkeeping by the flight's
+//! [`StreamKey`].
 
 use crate::telemetry::{EventKind, TelemetryEvent};
-use crate::time::Time;
-use std::collections::{BTreeMap, HashMap};
 
 /// Identifies one slot of one transport instance: the sending CAB, the
 /// peer it talks to, and the transport sequence number.
@@ -77,99 +74,11 @@ impl Flight {
     }
 }
 
-/// Every flight in a capture, plus stream-slot and ack indexes.
-#[derive(Clone, Debug, Default)]
-pub struct FlightTable {
-    flights: BTreeMap<u64, Flight>,
-    /// Earliest `transport_send` per stream slot (first transmission,
-    /// before any retransmit).
-    first_send: HashMap<StreamKey, Time>,
-    /// Highest cumulative ack seen per `(sender, peer)` direction,
-    /// indexed from the *sender's* point of view.
-    acked: HashMap<(u16, u16), u32>,
-    /// Timestamp of the last event in the capture.
-    end: Time,
-}
-
-impl FlightTable {
-    /// Folds a telemetry stream into per-flight histories. The input
-    /// need not be sorted.
-    pub fn from_events(events: &[TelemetryEvent]) -> FlightTable {
-        let mut table = FlightTable::default();
-        for ev in events {
-            table.end = table.end.max(ev.at);
-            if let EventKind::TransportAck { cab, peer, ack } = ev.kind {
-                // `cab` received the ack, so it is the data sender.
-                let high = table.acked.entry((cab, peer)).or_insert(0);
-                *high = (*high).max(ack);
-            }
-            if !ev.flight.is_some() {
-                continue;
-            }
-            if let EventKind::TransportSend { cab, peer, seq, .. } = ev.kind {
-                table
-                    .first_send
-                    .entry((cab, peer, seq))
-                    .and_modify(|t| *t = (*t).min(ev.at))
-                    .or_insert(ev.at);
-            }
-            table
-                .flights
-                .entry(ev.flight.0)
-                .or_insert_with(|| Flight { id: ev.flight.0, events: Vec::new() })
-                .events
-                .push(*ev);
-        }
-        for f in table.flights.values_mut() {
-            f.events.sort_by_key(|e| e.at);
-        }
-        table
-    }
-
-    /// Flights in packet-id order.
-    pub fn flights(&self) -> impl Iterator<Item = &Flight> {
-        self.flights.values()
-    }
-
-    /// The flight with this packet id.
-    pub fn get(&self, id: u64) -> Option<&Flight> {
-        self.flights.get(&id)
-    }
-
-    /// Number of distinct flights seen.
-    pub fn len(&self) -> usize {
-        self.flights.len()
-    }
-
-    /// `true` when the capture contained no flights.
-    pub fn is_empty(&self) -> bool {
-        self.flights.is_empty()
-    }
-
-    /// First transmission time of a stream slot (across original send
-    /// and every retransmission).
-    pub fn first_send_of(&self, key: StreamKey) -> Option<Time> {
-        self.first_send.get(&key).copied()
-    }
-
-    /// `true` when a cumulative ack from `peer` back to `cab` covers
-    /// `seq` (the peer consumed the packet even if no delivery event
-    /// was recorded, e.g. a mid-message fragment).
-    pub fn acked(&self, cab: u16, peer: u16, seq: u32) -> bool {
-        self.acked.get(&(cab, peer)).is_some_and(|&high| high > seq)
-    }
-
-    /// Timestamp of the last event in the capture (the observation
-    /// horizon for "never delivered" judgments).
-    pub fn capture_end(&self) -> Time {
-        self.end
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::telemetry::FlightId;
+    use crate::time::Time;
 
     fn ev(ns: u64, flight: u64, kind: EventKind) -> TelemetryEvent {
         TelemetryEvent { at: Time::from_nanos(ns), flight: FlightId(flight), kind }
@@ -180,55 +89,32 @@ mod tests {
     }
 
     #[test]
-    fn groups_events_by_flight_and_sorts() {
-        let events = vec![
-            ev(900, 5, EventKind::AppRecv { cab: 1, mailbox: 2, bytes: 64 }),
-            send(100, 5, 0, 64, false),
-            send(150, 6, 1, 64, false),
-        ];
-        let t = FlightTable::from_events(&events);
-        assert_eq!(t.len(), 2);
-        let f = t.get(5).unwrap();
-        assert_eq!(f.events.first().unwrap().at, Time::from_nanos(100));
+    fn delivery_and_payload_are_read_from_events() {
+        let recv = ev(900, 5, EventKind::AppRecv { cab: 1, mailbox: 2, bytes: 64 });
+        let f = Flight { id: 5, events: vec![send(100, 5, 0, 64, false), recv] };
         assert!(f.delivered());
         assert!(f.is_data());
-        assert!(!t.get(6).unwrap().delivered());
+        let lost = Flight { id: 6, events: vec![send(150, 6, 1, 64, false)] };
+        assert!(!lost.delivered());
     }
 
     #[test]
-    fn first_send_survives_retransmission() {
-        let events = vec![send(100, 5, 0, 64, false), send(900, 9, 0, 64, true)];
-        let t = FlightTable::from_events(&events);
-        assert_eq!(t.first_send_of((0, 1, 0)), Some(Time::from_nanos(100)));
-        assert!(t.get(9).unwrap().is_retransmit());
-        assert_eq!(t.get(9).unwrap().stream_key(), Some((0, 1, 0)));
-    }
-
-    #[test]
-    fn acks_cover_sequences() {
-        let events = vec![
-            send(100, 5, 0, 64, false),
-            ev(500, 77, EventKind::TransportAck { cab: 0, peer: 1, ack: 3 }),
-        ];
-        let t = FlightTable::from_events(&events);
-        assert!(t.acked(0, 1, 0));
-        assert!(t.acked(0, 1, 2));
-        assert!(!t.acked(0, 1, 3));
-        assert!(!t.acked(1, 0, 0));
+    fn retransmit_names_its_stream_slot() {
+        let f = Flight { id: 9, events: vec![send(900, 9, 0, 64, true)] };
+        assert!(f.is_retransmit());
+        assert_eq!(f.stream_key(), Some((0, 1, 0)));
     }
 
     #[test]
     fn merged_worlds_are_flagged_malformed() {
-        let events = vec![send(100, 5, 0, 64, false), send(200, 5, 4, 64, false)];
-        let t = FlightTable::from_events(&events);
-        assert!(t.get(5).unwrap().malformed());
+        let f =
+            Flight { id: 5, events: vec![send(100, 5, 0, 64, false), send(200, 5, 4, 64, false)] };
+        assert!(f.malformed());
     }
 
     #[test]
     fn control_flights_are_not_data() {
-        let events = vec![send(100, 5, 0, 0, false)];
-        let t = FlightTable::from_events(&events);
-        assert!(!t.get(5).unwrap().is_data());
-        assert_eq!(t.capture_end(), Time::from_nanos(100));
+        let f = Flight { id: 5, events: vec![send(100, 5, 0, 0, false)] };
+        assert!(!f.is_data());
     }
 }

@@ -6,25 +6,29 @@
 //! closes the record → analyze → gate loop over the telemetry ring and
 //! [`MetricsRegistry`](crate::metrics::MetricsRegistry):
 //!
-//! * [`flights`] — folds the flat event stream into per-packet
-//!   [`Flight`](flights::Flight) histories.
+//! * [`flights`] — one packet's recorded history, a
+//!   [`Flight`](flights::Flight).
 //! * [`critical_path`] — attributes every delivered flight's latency to
 //!   pipeline segments whose durations sum *exactly* to the end-to-end
 //!   time, then aggregates p50/p90/p99 per segment.
-//! * [`pathology`] — detectors for retransmit storms, head-of-line
-//!   blocking, mailbox saturation, and silent drops, each emitting a
-//!   typed [`Finding`](pathology::Finding) with evidence.
-//! * [`streaming`] — the same analysis as an incremental bounded-memory
-//!   fold: flights retire into online accumulators as the run
+//! * [`pathology`] — per-flight folds and thresholds for retransmit
+//!   storms, head-of-line blocking, mailbox saturation, and silent
+//!   drops, each emitting a typed [`Finding`](pathology::Finding) with
+//!   evidence.
+//! * [`streaming`] — the doctor: an incremental bounded-memory fold in
+//!   which flights retire into online accumulators as the run
 //!   progresses, with periodic checkpoints a live consumer can poll.
 //! * [`compare`] — the perf-regression gate: diffs two bench reports on
 //!   deterministic simulated metrics with noise-aware tolerances.
 //!
-//! [`diagnose`] is the front door: events + metrics in, a rendered
-//! [`DoctorReport`] out. When the telemetry ring overflowed during
-//! capture (`telemetry.dropped_events > 0`), every finding is
-//! downgraded to non-confident and the report says so — analyses over
-//! truncated data must not assert.
+//! [`diagnose`] is the post-hoc front door: events + metrics in, a
+//! rendered [`DoctorReport`] out. It folds the whole capture through
+//! the streaming doctor as one batch, so the report does not depend on
+//! the order of its input and equals a streamed run's report. When the
+//! telemetry ring overflowed during capture
+//! (`telemetry.dropped_events > 0`), every finding is downgraded to
+//! non-confident and the report says so — analyses over truncated data
+//! must not assert.
 
 pub mod compare;
 pub mod critical_path;
@@ -35,9 +39,9 @@ pub mod streaming;
 use crate::metrics::MetricsRegistry;
 use crate::telemetry::TelemetryEvent;
 use critical_path::CriticalPath;
-use flights::FlightTable;
 use pathology::{DoctorConfig, Finding};
 use std::fmt::Write as _;
+use streaming::{StreamConfig, StreamingDoctor};
 
 /// Everything the doctor concluded about one capture.
 #[derive(Clone, Debug)]
@@ -89,23 +93,17 @@ pub fn diagnose(events: &[TelemetryEvent], metrics: Option<&MetricsRegistry>) ->
     diagnose_with(events, metrics, &DoctorConfig::default())
 }
 
-/// [`diagnose`] with explicit detector thresholds.
+/// [`diagnose`] with explicit detector thresholds: one
+/// [`StreamingDoctor`] batch holding the whole capture.
 pub fn diagnose_with(
     events: &[TelemetryEvent],
     metrics: Option<&MetricsRegistry>,
     cfg: &DoctorConfig,
 ) -> DoctorReport {
-    let table = FlightTable::from_events(events);
-    let critical_path = CriticalPath::from_table(&table);
-    let mut findings = pathology::detect(&table, metrics, cfg);
-    let dropped_events = metrics.map_or(0, |m| m.counter("telemetry.dropped_events"));
-    let confident = dropped_events == 0;
-    if !confident {
-        for f in &mut findings {
-            f.confident = false;
-        }
-    }
-    DoctorReport { flights: table.len() as u64, dropped_events, confident, critical_path, findings }
+    let mut doctor =
+        StreamingDoctor::new(StreamConfig { doctor: cfg.clone(), ..Default::default() });
+    doctor.ingest(&mut events.to_vec());
+    doctor.into_report(metrics)
 }
 
 #[cfg(test)]

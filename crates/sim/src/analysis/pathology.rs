@@ -1,7 +1,9 @@
-//! Pathology detectors: rules over the flight table and metrics that
-//! flag the network behaviors the paper's instrumentation board existed
-//! to catch — retransmit storms, head-of-line blocking at HUB ports,
-//! mailbox saturation, and silently dropped packets.
+//! Pathology detectors: per-flight folds and metrics rules that flag
+//! the network behaviors the paper's instrumentation board existed to
+//! catch — retransmit storms, head-of-line blocking at HUB ports,
+//! mailbox saturation, and silently dropped packets. The
+//! [`StreamingDoctor`](super::streaming::StreamingDoctor) drives the
+//! folds as flights retire and applies the `*_finding` thresholds.
 //!
 //! Every detector emits a typed [`Finding`] carrying its evidence:
 //! which flights, which port, which time window. Findings are
@@ -9,7 +11,7 @@
 //! truncated (telemetry ring overflow), so analyses over partial data
 //! say so instead of asserting.
 
-use super::flights::{Flight, FlightTable};
+use super::flights::Flight;
 use crate::metrics::MetricsRegistry;
 use crate::telemetry::EventKind;
 use crate::time::{Dur, Time};
@@ -116,25 +118,6 @@ impl Default for DoctorConfig {
     }
 }
 
-/// Runs every detector over a capture. `metrics` feeds the mailbox
-/// detector (the others work from the flight table alone).
-pub fn detect(
-    table: &FlightTable,
-    metrics: Option<&MetricsRegistry>,
-    cfg: &DoctorConfig,
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    retransmit_storms(table, cfg, &mut findings);
-    head_of_line(table, cfg, &mut findings);
-    if let Some(m) = metrics {
-        mailbox_saturation(m, cfg, &mut findings);
-        reassembly_mismatches(m, &mut findings);
-    }
-    silent_drops(table, cfg, &mut findings);
-    sort_findings(&mut findings);
-    findings
-}
-
 /// Orders findings by (severity desc, subject, first implicated
 /// flight, detector) — a total order over finding content, so report
 /// output is byte-identical across shard counts and repeat runs even
@@ -156,8 +139,8 @@ pub fn sort_findings(findings: &mut [Finding]) {
 /// Per-stream-direction retransmit fold. One instance per (cab, peer);
 /// flights can be folded in **any order** — evidence is the smallest
 /// `max_evidence` resent flight ids regardless of arrival order, so
-/// the post-hoc id-ascending walk and the streaming doctor's
-/// retirement-order folds produce identical findings.
+/// the streaming doctor's retirement order (which depends on batch
+/// boundaries) never changes a finding.
 #[derive(Clone, Debug)]
 pub(crate) struct StreamAcc {
     pub(crate) sends: usize,
@@ -239,17 +222,6 @@ pub(crate) fn fold_storm(
         .add_data_flight(resend, cfg.max_evidence);
 }
 
-/// Go-back-N resend ratio per stream direction.
-fn retransmit_storms(table: &FlightTable, cfg: &DoctorConfig, out: &mut Vec<Finding>) {
-    let mut streams: BTreeMap<(u16, u16), StreamAcc> = BTreeMap::new();
-    for f in table.flights() {
-        fold_storm(f, &mut streams, cfg);
-    }
-    for ((cab, peer), acc) in &streams {
-        out.extend(storm_finding(*cab, *peer, acc, cfg));
-    }
-}
-
 /// Per-HUB-input queue-wait fold. Flights can be folded in any order:
 /// the worst list keeps the top `max_evidence` samples under the total
 /// order (wait desc, flight id), and the means are plain sums.
@@ -321,7 +293,7 @@ pub(crate) fn hol_finding(
 }
 
 /// Folds one flight's HUB hops into the per-port accumulators. The
-/// flight's events must be in time order (flight tables keep them so).
+/// flight's events must be in time order (the streaming fold keeps them so).
 pub(crate) fn fold_head_of_line(
     f: &Flight,
     ports: &mut BTreeMap<(u8, u8), PortAcc>,
@@ -358,17 +330,6 @@ pub(crate) fn fold_head_of_line(
             f.id,
             cfg.max_evidence,
         );
-    }
-}
-
-/// Queue wait vs service time per HUB input port.
-fn head_of_line(table: &FlightTable, cfg: &DoctorConfig, out: &mut Vec<Finding>) {
-    let mut ports: BTreeMap<(u8, u8), PortAcc> = BTreeMap::new();
-    for f in table.flights() {
-        fold_head_of_line(f, &mut ports, cfg);
-    }
-    for ((hub, input), port) in &ports {
-        out.extend(hol_finding(*hub, *input, port, cfg));
     }
 }
 
@@ -432,46 +393,6 @@ pub(crate) fn reassembly_mismatches(m: &MetricsRegistry, out: &mut Vec<Finding>)
     }
 }
 
-/// Data flights that vanished: never delivered, never acked, never
-/// superseded by a retransmission, and old enough that "still in
-/// flight" is not an excuse.
-fn silent_drops(table: &FlightTable, cfg: &DoctorConfig, out: &mut Vec<Finding>) {
-    let horizon = table.capture_end();
-    let mut lost: Vec<(Time, u64)> = Vec::new();
-    for f in table.flights() {
-        if !f.is_data() || f.delivered() || f.malformed() {
-            continue;
-        }
-        let Some((cab, peer, seq)) = f.stream_key() else { continue };
-        if table.acked(cab, peer, seq) {
-            continue; // consumed (e.g. a mid-message fragment) or resend covered
-        }
-        let Some(at) = f.send().map(|e| e.at) else { continue };
-        if at + cfg.grace > horizon {
-            continue; // could still be in flight at capture end
-        }
-        lost.push((at, f.id));
-    }
-    // Flights superseded by retransmissions of the same slot are not
-    // silent: drop them if ANY other flight shares the slot.
-    let mut slot_counts: BTreeMap<(u16, u16, u32), usize> = BTreeMap::new();
-    for f in table.flights() {
-        if let Some(k) = f.stream_key() {
-            if f.is_data() {
-                *slot_counts.entry(k).or_insert(0) += 1;
-            }
-        }
-    }
-    lost.retain(|&(_, id)| {
-        table
-            .get(id)
-            .and_then(|f| f.stream_key())
-            .map(|k| slot_counts.get(&k).copied().unwrap_or(0) <= 1)
-            .unwrap_or(true)
-    });
-    out.extend(silent_drop_finding(lost, cfg));
-}
-
 /// Builds the silent-drop finding from the surviving `(send time,
 /// flight id)` candidates; `None` when the list is empty.
 pub(crate) fn silent_drop_finding(
@@ -500,6 +421,7 @@ pub(crate) fn silent_drop_finding(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::diagnose;
     use crate::telemetry::{FlightId, TelemetryEvent};
 
     fn ev(ns: u64, flight: u64, kind: EventKind) -> TelemetryEvent {
@@ -525,8 +447,7 @@ mod tests {
             events.push(send(20_000 + i, 100 + i, i as u32, true));
             events.push(recv(30_000 + i, 100 + i));
         }
-        let table = FlightTable::from_events(&events);
-        let findings = detect(&table, None, &DoctorConfig::default());
+        let findings = diagnose(&events, None).findings;
         let storm = findings.iter().find(|f| f.detector == "retransmit_storm").unwrap();
         assert_eq!(storm.flights, vec![100, 101, 102]);
         assert_eq!(storm.subject, "stream 0->1");
@@ -536,9 +457,8 @@ mod tests {
     #[test]
     fn quiet_capture_produces_no_findings() {
         let events = vec![send(100, 1, 0, false), recv(9_000, 1)];
-        let table = FlightTable::from_events(&events);
         // grace: the lone undelivered case doesn't apply — it was delivered.
-        assert!(detect(&table, None, &DoctorConfig::default()).is_empty());
+        assert!(diagnose(&events, None).findings.is_empty());
     }
 
     #[test]
@@ -566,8 +486,7 @@ mod tests {
             ));
             events.push(recv(base + 40_000, i));
         }
-        let table = FlightTable::from_events(&events);
-        let findings = detect(&table, None, &DoctorConfig::default());
+        let findings = diagnose(&events, None).findings;
         let hol = findings.iter().find(|f| f.detector == "head_of_line").unwrap();
         assert_eq!(hol.subject, "hub1 input 4");
         assert_eq!(hol.flights.len(), 8); // capped at max_evidence
@@ -579,8 +498,7 @@ mod tests {
         m.gauge_max("mailbox.capacity_bytes", 1024.0);
         m.gauge_max("cab2.mailbox.peak_bytes", 1024.0);
         m.counter_add("cab2.mailbox_rejects", 5);
-        let table = FlightTable::from_events(&[]);
-        let findings = detect(&table, Some(&m), &DoctorConfig::default());
+        let findings = diagnose(&[], Some(&m)).findings;
         let mb = findings.iter().find(|f| f.detector == "mailbox_saturation").unwrap();
         assert_eq!(mb.severity, Severity::Critical);
         assert_eq!(mb.subject, "cab2 mailbox");
@@ -591,8 +509,7 @@ mod tests {
         let mut m = MetricsRegistry::new();
         m.counter_add("cab3.transport.reassembly_mismatches", 2);
         m.counter_add("cab1.transport.reassembly_mismatches", 0); // zero: quiet
-        let table = FlightTable::from_events(&[]);
-        let findings = detect(&table, Some(&m), &DoctorConfig::default());
+        let findings = diagnose(&[], Some(&m)).findings;
         let hits: Vec<_> =
             findings.iter().filter(|f| f.detector == "reassembly_mismatch").collect();
         assert_eq!(hits.len(), 1);
@@ -606,8 +523,7 @@ mod tests {
         // A later event pushes the horizon far past the grace window.
         events.push(send(10_000_000, 2, 1, false));
         events.push(recv(10_000_500, 2));
-        let table = FlightTable::from_events(&events);
-        let findings = detect(&table, None, &DoctorConfig::default());
+        let findings = diagnose(&events, None).findings;
         let drop = findings.iter().find(|f| f.detector == "silent_drops").unwrap();
         assert_eq!(drop.flights, vec![1]);
     }
@@ -621,8 +537,7 @@ mod tests {
             send(10_000_000, 3, 1, false),
             recv(10_000_500, 3),
         ];
-        let table = FlightTable::from_events(&events);
-        let findings = detect(&table, None, &DoctorConfig::default());
+        let findings = diagnose(&events, None).findings;
         assert!(findings.iter().all(|f| f.detector != "silent_drops"));
     }
 }

@@ -1,12 +1,14 @@
 //! Streaming doctor: bounded-memory incremental flight analysis.
 //!
-//! The post-hoc doctor ([`diagnose`](super::diagnose)) needs the whole
-//! telemetry capture in memory, so at scale it either drops events
-//! (findings downgrade to non-confident) or the ring grows without
-//! bound. [`StreamingDoctor`] folds the same analysis incrementally: a
-//! windowed flight table retires completed flights into compact online
-//! accumulators, so memory tracks the number of flights *in flight*,
-//! not the number ever seen.
+//! [`StreamingDoctor`] is the one implementation of the doctor. A
+//! post-hoc capture holds the whole run in the telemetry ring, so at
+//! scale it either drops events (findings downgrade to non-confident)
+//! or the ring grows without bound; the streaming fold analyses the
+//! run incrementally instead: a windowed flight table retires completed
+//! flights into compact online accumulators, so memory tracks the
+//! number of flights *in flight*, not the number ever seen. Post-hoc
+//! [`diagnose`](super::diagnose) is this fold over one batch holding
+//! the whole capture.
 //!
 //! # Fold lifecycle
 //!
@@ -17,9 +19,10 @@
 //! below the engine's next-event time: such events are *final* (every
 //! record site stamps at-or-after the processing instant, so nothing
 //! earlier can still be produced). Concatenated, the batches are
-//! exactly the canonically sorted capture, which is why every streaming
-//! verdict is bit-identical to the post-hoc doctor run over the same
-//! events.
+//! exactly the canonically sorted capture, which is why the report does
+//! not depend on where the batch boundaries fall: a run streamed in
+//! many batches and its capture diagnosed as one batch give the same
+//! report.
 //!
 //! A flight retires once it is **terminal** (delivered via `app_recv`,
 //! or an ack flight consumed by `transport_ack`) *and* has been idle
@@ -54,11 +57,10 @@ use crate::time::{Dur, Time};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::mem::size_of;
 
-/// Streaming-doctor tuning. The `doctor` thresholds are shared with
-/// the post-hoc detectors so the two paths stay comparable.
+/// Streaming-doctor tuning.
 #[derive(Clone, Debug)]
 pub struct StreamConfig {
-    /// Detector thresholds (same as post-hoc).
+    /// Detector thresholds.
     pub doctor: DoctorConfig,
     /// A **completed** flight (one that saw a terminal event —
     /// delivery or ack consumption) retires after this much simulated
@@ -66,7 +68,7 @@ pub struct StreamConfig {
     /// terminal event (for unicast, nothing follows one; multicast
     /// copies still in flight keep updating the quiet clock), or
     /// retirement races the stragglers and the report counts
-    /// `late_events` (equivalence with post-hoc then no longer holds).
+    /// `late_events` (the report then depends on batch boundaries).
     /// Flights without a terminal event — still in flight, silently
     /// dropped, corrupted — are held until the final report or a
     /// memory-budget eviction, never horizon-retired: congestion can
@@ -164,7 +166,8 @@ pub struct StreamSummary {
     /// Flights still open when the summary was taken.
     pub open_flights: usize,
     /// Events that arrived for already-retired flights (nonzero means
-    /// the horizon was too short and equivalence with post-hoc is off).
+    /// the horizon was too short and the report depends on batch
+    /// boundaries).
     pub late_events: u64,
     /// Retirements forced by the memory budget.
     pub forced_retirements: u64,
@@ -510,8 +513,8 @@ impl StreamingDoctor {
     }
 
     /// Finishes the fold: retires every open flight and builds the
-    /// final report, exactly as [`diagnose`](super::diagnose) would
-    /// over the canonically sorted capture (provided
+    /// final report — the same report [`diagnose`](super::diagnose)
+    /// gives over the whole capture in one batch (provided
     /// [`late_events`](StreamSummary::late_events) is zero).
     pub fn into_report(mut self, metrics: Option<&MetricsRegistry>) -> DoctorReport {
         let mut ids: Vec<u64> = self.open.keys().copied().collect();
@@ -605,12 +608,11 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_post_hoc_on_mixed_capture() {
+    fn batch_size_does_not_change_the_report() {
         let events = busy_capture();
-        let mut sorted = events.clone();
-        sorted.sort_unstable_by_key(|e| e.canonical_key());
-        let reference = diagnose(&sorted, None);
-        for batch_len in [1, 3, 7, events.len()] {
+        // `diagnose` folds the whole capture as one batch.
+        let reference = diagnose(&events, None);
+        for batch_len in [1, 3, 7] {
             let doc = stream_in_batches(&events, batch_len);
             assert_eq!(doc.summary().late_events, 0);
             let rep = doc.into_report(None);
